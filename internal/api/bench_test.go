@@ -131,7 +131,7 @@ func BenchmarkUsageStreamBinary(b *testing.B) {
 }
 
 // BenchmarkUsageStreamBinarySharded is BenchmarkUsageStreamSharded's binary
-// twin: the frame pipeline across ledger shard counts.
+// twin: the frame path across ledger shard counts.
 func BenchmarkUsageStreamBinarySharded(b *testing.B) {
 	const lines = 2048
 	const tenants = 64
@@ -163,11 +163,11 @@ func BenchmarkUsageStreamBinarySharded(b *testing.B) {
 	}
 }
 
-// BenchmarkUsageStreamSharded measures the parallel /v3/usage pipeline —
-// worker-pool decode/price, sharded accrual — across ledger shard counts,
-// with enough distinct tenants to spread the stripes. On a multi-core
-// runner throughput should scale with shards until cores run out; the
-// 1-shard case serializes every accrual behind one mutex.
+// BenchmarkUsageStreamSharded measures one NDJSON /v3/usage stream —
+// serial decode/price, batched accrual — across ledger shard counts, with
+// enough distinct tenants to spread the stripes. A single stream accrues
+// from one goroutine, so the shard count should not move it; shards pay
+// off across concurrent streams (BenchmarkAccrueParallel).
 func BenchmarkUsageStreamSharded(b *testing.B) {
 	const lines = 2048
 	const tenants = 64

@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/api/apitest"
@@ -383,37 +384,104 @@ func TestV3UsageStreamOversizedLineMidStream(t *testing.T) {
 	}
 }
 
-// TestUsageFramesPipelined forces the multi-worker frame pipeline and holds
-// it to the serial path's exact response: reordering workers must never
-// reorder billing.
-func TestUsageFramesPipelined(t *testing.T) {
-	var records []UsageRecord
-	for i := 0; i < 200; i++ {
-		key := ""
-		if i%5 == 0 {
-			key = fmt.Sprintf("key-%d", i%13)
+// TestUsageConcurrentStreams holds concurrent streams — both wires, shared
+// tenants, and idempotency keys repeated within and across streams — to the
+// per-stream accounting identity, and the ledger they leave behind to the
+// one the same streams leave when posted one after another: each stream
+// bills serially, and parallelism across streams must not change a bill.
+func TestUsageConcurrentStreams(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const streams, perStream, tenants = 8, 300, 11
+	// Every record of a tenant prices the same, and a keyed record is the
+	// same wherever it appears, so bills cannot depend on which stream a
+	// shared key bills in or on the order float sums accumulate.
+	record := func(s, i int) UsageRecord {
+		if i%6 == 0 {
+			k := (i / 6) % 10
+			return frameRecord(fmt.Sprintf("t-%02d", k), 128+(k%4)*64, k%3, fmt.Sprintf("dup-%d", k))
 		}
-		records = append(records, frameRecord(fmt.Sprintf("t-%02d", i%9), 128+(i%4)*64, i%3, key))
+		tn := (s*31 + i) % tenants
+		return frameRecord(fmt.Sprintf("t-%02d", tn), 128+(tn%4)*64, i%4, "")
 	}
-	records = append(records, UsageRecord{QuoteRequest: QuoteRequest{Usage: core.Usage{Language: "py"}}}) // no tenant
-	body, err := EncodeUsageStream(WireFrames, records)
-	if err != nil {
-		t.Fatal(err)
+	bodies := make([][]byte, streams)
+	for s := range bodies {
+		recs := []UsageRecord{{QuoteRequest: QuoteRequest{Usage: core.Usage{Language: "py"}}}} // no tenant
+		for i := 0; i < perStream; i++ {
+			recs = append(recs, record(s, i))
+		}
+		body, err := EncodeUsageStream(WireFormat(s%2), recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[s] = body
+	}
+	post := func(url string, s int) UsageStreamResponse {
+		key := ""
+		if s%4 < 2 {
+			key = fmt.Sprintf("stream-%d", s) // derived keys, distinct per stream
+		}
+		out := postBody(t, url, key, WireFormat(s%2).ContentType(), bodies[s])
+		if out.Lines != perStream+1 || out.Rejected != 1 ||
+			out.Accepted+out.Duplicates+out.Rejected+out.Dropped+out.Throttled != out.Lines {
+			t.Errorf("stream %d accounting = %+v", s, out)
+		}
+		return out
+	}
+	// ledgerBytes renders every /v3/tenants page and statement verbatim.
+	ledgerBytes := func(url string) []byte {
+		var all []byte
+		get := func(path string) []byte {
+			resp, err := http.Get(url + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s = %d %s %v", path, resp.StatusCode, b, err)
+			}
+			all = append(all, b...)
+			return b
+		}
+		for cursor := ""; ; {
+			var page TenantPage
+			if err := json.Unmarshal(get("/v3/tenants?limit=4&cursor="+cursor), &page); err != nil {
+				t.Fatal(err)
+			}
+			for _, sum := range page.Tenants {
+				get("/v3/tenants/" + sum.Tenant + "/statement")
+			}
+			if cursor = page.NextCursor; cursor == "" {
+				return all
+			}
+		}
 	}
 
-	responses := map[int][]byte{}
-	for _, procs := range []int{1, 4} {
-		old := runtime.GOMAXPROCS(procs)
-		_, ts := newTestServer(t, Config{})
-		raw, status := postBodyRaw(t, ts.URL, "pipe-run", ContentTypeFrames, body)
-		runtime.GOMAXPROCS(old)
-		if status != http.StatusOK {
-			t.Fatalf("GOMAXPROCS=%d status = %d: %s", procs, status, raw)
-		}
-		responses[procs] = raw
+	_, seqTS := newTestServer(t, Config{})
+	seqBilled := 0
+	for s := range bodies {
+		seqBilled += post(seqTS.URL, s).Accepted
 	}
-	if !bytes.Equal(responses[1], responses[4]) {
-		t.Fatalf("pipelined response diverged from serial:\n serial:    %s\n pipelined: %s", responses[1], responses[4])
+	_, conTS := newTestServer(t, Config{})
+	billed := make([]int, streams)
+	var wg sync.WaitGroup
+	for s := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			billed[s] = post(conTS.URL, s).Accepted
+		}()
+	}
+	wg.Wait()
+	conBilled := 0
+	for _, n := range billed {
+		conBilled += n
+	}
+	if conBilled != seqBilled {
+		t.Errorf("concurrent streams billed %d records, sequential %d", conBilled, seqBilled)
+	}
+	if seq, con := ledgerBytes(seqTS.URL), ledgerBytes(conTS.URL); !bytes.Equal(seq, con) {
+		t.Fatalf("concurrent ledger diverged from sequential:\n sequential: %s\n concurrent: %s", seq, con)
 	}
 }
 

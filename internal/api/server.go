@@ -122,8 +122,10 @@ type Server struct {
 	//litmus:unguarded frozen by New before the server is shared
 	admission *admission.Controller
 
-	// framePool recycles FrameReaders (binary /v3/usage): their bufio
-	// window is sized from cfg.MaxBodyBytes, so the pool is per-server.
+	// framePool recycles binary /v3/usage record sources: the FrameReader's
+	// bufio window is sized from cfg.MaxBodyBytes, so the pool is
+	// per-server, and the decoder's intern table carries a stream's tenant
+	// and language strings over to the next stream.
 	framePool sync.Pool
 
 	// metrics is the per-route request accounting /healthz reports; the map
@@ -574,8 +576,8 @@ func (s *Server) priceOneInto(pricers map[string]core.Pricer, req QuoteRequest, 
 	return nil
 }
 
-// pricerMemo caches the last registry hit for one stream (or one pipeline
-// worker): nearly every record in a stream names the same pricer — usually
+// pricerMemo caches the last registry hit for one stream's serial ingest
+// loop: nearly every record in a stream names the same pricer — usually
 // none at all, meaning DefaultPricer — so the per-record map probe collapses
 // to a string compare. Only valid against a single pricers snapshot; never
 // share one memo across snapshots.

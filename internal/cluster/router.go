@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,8 +22,8 @@ import (
 // lives on an owner node — which is what keeps it thin enough to run
 // anywhere and restart freely.
 //
-//	POST /v3/usage                        scan NDJSON, scatter lines to
-//	                                      owners, merge the accounting
+//	POST /v3/usage                        read the stream, scatter lines
+//	                                      to owners, merge the accounting
 //	GET  /v3/tenants                      merge-paginate the per-node pages
 //	GET  /v3/tenants/{tenant}/statement   proxy to the owner node
 //	GET  /v3/tenants/{tenant}/forecast    proxy to the owner node
@@ -363,125 +361,46 @@ func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 		wire = api.WireFrames
 	}
 	f := rt.newUsageForward(r, wire)
-	if wire == api.WireFrames {
-		rt.scanUsageFrames(f, r.Body)
-	} else {
-		rt.scanUsageLines(f, r.Body)
-	}
+	rt.scatterUsage(f, api.NewUsageSource(wire, r.Body, rt.cfg.MaxBodyBytes, rt.cfg.MaxStreamLines))
 	f.finish(w)
 }
 
-// scanUsageLines walks an NDJSON stream, synthesising the rejections a
-// router can decide without pricing state.
-func (rt *Router) scanUsageLines(f *usageForward, body io.Reader) {
-	sc := bufio.NewScanner(body)
-	initial := 64 << 10
-	if int(rt.cfg.MaxBodyBytes) < initial {
-		initial = int(rt.cfg.MaxBodyBytes)
-	}
-	sc.Buffer(make([]byte, 0, initial), int(rt.cfg.MaxBodyBytes))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if lineNo > rt.cfg.MaxStreamLines {
-			f.streamErr = fmt.Sprintf("stream exceeds %d lines", rt.cfg.MaxStreamLines)
-			break
-		}
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		f.scatter.resp.Lines++
-		var rec api.UsageRecord
-		// Only failures a router can decide without pricing state are
-		// synthesised here, with the owner-node message text; everything
-		// else (minute bounds, unknown pricer, the tenant cap) is decided by
-		// the owner so the answer — and the error wording — is the node's.
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			f.scatter.reject(lineNo, "malformed JSON: %v", err)
-			continue
-		}
-		if rec.Tenant == "" {
-			f.scatter.reject(lineNo, "usage record requires a tenant")
-			continue
-		}
-		if !f.add(rec, lineNo) {
-			return
-		}
-	}
-	if err := sc.Err(); err != nil && f.streamErr == "" {
-		if err == bufio.ErrTooLong {
-			// Mirror the single-node semantics: the oversized line is
-			// counted and rejected per-line with the StreamError's own
-			// wording, and everything before it keeps its accounting.
-			f.streamErr = fmt.Sprintf("line %d exceeds %d bytes", lineNo+1, rt.cfg.MaxBodyBytes)
-			f.scatter.resp.Lines++
-			f.scatter.reject(lineNo+1, "%s", f.streamErr)
-		} else {
-			f.streamErr = fmt.Sprintf("reading stream: %v", err)
-		}
-	}
-}
-
-// scanUsageFrames walks a binary frame stream (see api/frames.go). Decode
-// failures reuse the node's own FrameDecoder so the wording is identical;
-// healthy frames are re-framed per owner without touching JSON.
-func (rt *Router) scanUsageFrames(f *usageForward, body io.Reader) {
-	fr := api.NewFrameReader(body, rt.cfg.MaxBodyBytes)
-	dec := &api.FrameDecoder{}
-	frameNo := 0
+// scatterUsage reads a stream through the same record source a node uses,
+// so every rejection a router can decide without pricing state — caps,
+// decoding, a missing tenant — carries the node's own line number and
+// wording. Everything else (minute bounds, unknown pricer, the tenant cap)
+// is decided by the owner. Healthy records are partitioned per owner and
+// forwarded in the stream's own wire format.
+func (rt *Router) scatterUsage(f *usageForward, src api.UsageSource) {
 	for {
-		payload, crc, err := fr.Next()
-		if err == io.EOF {
-			break
+		lineNo, rec, lineErr, err := src.Next()
+		if lineErr != nil {
+			f.scatter.resp.Lines++
+			f.scatter.rejectErr(lineNo, lineErr)
+		} else if rec != nil {
+			f.scatter.resp.Lines++
+			// The source reuses its record (and a frame's probe) across
+			// lines; copy what the batch keeps.
+			cp := *rec
+			if rec.Probe != nil {
+				p := *rec.Probe
+				cp.Probe = &p
+			}
+			if !f.add(cp, lineNo) {
+				return
+			}
 		}
 		if err != nil {
-			if errors.Is(err, api.ErrFrameTooLarge) {
-				// Mirror the single-node oversized-frame semantics: counted,
-				// rejected per-frame with the StreamError's wording.
-				f.streamErr = fmt.Sprintf("frame %d exceeds %d bytes", frameNo+1, rt.cfg.MaxBodyBytes)
-				f.scatter.resp.Lines++
-				f.scatter.reject(frameNo+1, "%s", f.streamErr)
-			} else {
-				f.streamErr = fmt.Sprintf("reading stream: %v", err)
+			if err != io.EOF {
+				f.streamErr = err.Error()
 			}
-			break
-		}
-		frameNo++
-		if frameNo > rt.cfg.MaxStreamLines {
-			f.streamErr = fmt.Sprintf("stream exceeds %d frames", rt.cfg.MaxStreamLines)
-			break
-		}
-		f.scatter.resp.Lines++
-		rec, apiErr := dec.Decode(payload, crc)
-		if apiErr != nil {
-			f.scatter.rejectErr(frameNo, apiErr)
-			continue
-		}
-		if rec.Tenant == "" {
-			f.scatter.reject(frameNo, "usage record requires a tenant")
-			continue
-		}
-		// The decoder reuses its record (and probe) across frames; copy
-		// what the batch keeps.
-		cp := *rec
-		if rec.Probe != nil {
-			p := *rec.Probe
-			cp.Probe = &p
-		}
-		if !f.add(cp, frameNo) {
 			return
 		}
 	}
 }
 
-// reject synthesises one locally-decided line rejection.
-func (sc *usageScatter) reject(line int, format string, args ...any) {
-	sc.rejectErr(line, &api.Error{Status: http.StatusBadRequest, Message: fmt.Sprintf(format, args...)})
-}
-
-// rejectErr records one locally-decided rejection with a ready-made error
-// (the frame decoder's, so router and node wording cannot drift).
+// rejectErr records one locally-decided rejection with the record source's
+// error, so router and node wording cannot drift.
 func (sc *usageScatter) rejectErr(line int, apiErr *api.Error) {
 	sc.resp.Rejected++
 	if len(sc.resp.Errors) < api.DefaultMaxStreamErrors {

@@ -146,6 +146,26 @@ func TestKeyEvictionFIFO(t *testing.T) {
 	}
 }
 
+// TestKeyEvictionClearsSlot pins that FIFO eviction drops the shard's last
+// reference to an evicted key: the slot the queue head leaves behind in the
+// backing array is cleared, not kept alive until the next re-grow.
+func TestKeyEvictionClearsSlot(t *testing.T) {
+	l := mustNew(t, Config{MaxKeys: 2, Shards: 1})
+	for i := 0; i < 3; i++ {
+		accrue(t, l, Entry{Tenant: "t", Price: 1, Key: fmt.Sprintf("k%d", i)})
+	}
+	sh := l.shards[0]
+	sh.mu.Lock()
+	held := sh.keyq // [k1 k2] with spare capacity: the next append reuses it
+	sh.mu.Unlock()
+	accrue(t, l, Entry{Tenant: "t", Price: 1, Key: "k3"})
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if &held[0] == &sh.keyq[0] || held[0] != "" {
+		t.Fatalf("evicted slot still holds %q (queue now %q)", held[0], sh.keyq)
+	}
+}
+
 func TestTenantCapObservable(t *testing.T) {
 	l := mustNew(t, Config{MaxTenants: 2})
 	accrue(t, l, Entry{Tenant: "a", Price: 1})

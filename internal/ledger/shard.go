@@ -77,6 +77,10 @@ func (sh *shard) apply(e Entry, key string, outcome Outcome, windowMinutes int) 
 			sh.keyq = append(sh.keyq, key)
 			for len(sh.keyq) > sh.maxKeys {
 				delete(sh.keys, sh.keyq[0])
+				// Clear the slot before reslicing: the backing array
+				// outlives the slice head, and would keep the evicted
+				// key string reachable until the next append re-grows it.
+				sh.keyq[0] = ""
 				sh.keyq = sh.keyq[1:]
 				sh.keysEvicted++
 			}
